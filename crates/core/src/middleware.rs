@@ -277,15 +277,20 @@ enum TokenKind {
 struct LogMirror {
     first_index: u64,
     entries: Vec<(Option<Slot>, u64)>,
+    /// Running sum of the entries' sizes. `status()` runs on every send
+    /// (the auditor reads it), so the total must not cost a pass over a
+    /// log that grows between checkpoints.
+    total: u64,
 }
 
 impl LogMirror {
     fn push(&mut self, slot: Option<Slot>, bytes: u64) {
         self.entries.push((slot, bytes));
+        self.total += bytes;
     }
 
     fn bytes(&self) -> u64 {
-        self.entries.iter().map(|(_, b)| *b).sum()
+        self.total
     }
 
     /// Stable index of the first entry with an `Accepted` slot ≥ `cut`;
@@ -306,7 +311,8 @@ impl LogMirror {
             return;
         }
         let drop = ((keep_from - self.first_index) as usize).min(self.entries.len());
-        self.entries.drain(..drop);
+        let dropped: u64 = self.entries.drain(..drop).map(|(_, b)| b).sum();
+        self.total -= dropped;
         self.first_index = keep_from.max(self.first_index);
     }
 }
@@ -572,7 +578,7 @@ impl<App: Application> Middleware<App> {
         let mut records: Vec<Record<Batch<App::Action>>> = Vec::new();
         let mut mirror = LogMirror {
             first_index: disk.log_first_index,
-            entries: Vec::new(),
+            ..LogMirror::default()
         };
         for entry in &disk.log_entries {
             match Record::from_bytes(entry) {
@@ -1716,6 +1722,71 @@ mod tests {
             first_after > truncated_first,
             "post-recovery truncation must advance: {first_after} vs {truncated_first}"
         );
+    }
+
+    fn entry_sum(m: &LogMirror) -> u64 {
+        m.entries.iter().map(|(_, b)| *b).sum()
+    }
+
+    #[test]
+    fn log_mirror_total_tracks_push_and_truncate() {
+        let mut m = LogMirror::default();
+        for (i, b) in [40u64, 7, 120, 33, 9].into_iter().enumerate() {
+            m.push(Some(Slot(i as u64)), b);
+            assert_eq!(m.bytes(), entry_sum(&m));
+        }
+        m.push(None, 5);
+        assert_eq!(m.bytes(), 214);
+        assert_eq!(m.bytes(), entry_sum(&m));
+
+        m.truncate_front(2);
+        assert_eq!(m.first_index, 2);
+        assert_eq!(m.bytes(), 167);
+        assert_eq!(m.bytes(), entry_sum(&m));
+
+        // A cut at or below the first retained index is a no-op.
+        m.truncate_front(1);
+        m.truncate_front(2);
+        assert_eq!(m.bytes(), 167);
+
+        m.push(Some(Slot(9)), 11);
+        m.truncate_front(5);
+        assert_eq!(m.bytes(), 16);
+        assert_eq!(m.bytes(), entry_sum(&m));
+
+        // A cut past the end drops everything and leaves nothing behind.
+        m.truncate_front(100);
+        assert!(m.entries.is_empty());
+        assert_eq!(m.first_index, 100);
+        assert_eq!(m.bytes(), 0);
+        m.push(None, 3);
+        assert_eq!(m.bytes(), 3);
+        assert_eq!(m.bytes(), entry_sum(&m));
+    }
+
+    #[test]
+    fn recovered_mirror_total_counts_torn_placeholder() {
+        let (mut mw, mut store) = active_single();
+        for v in 1..=3u64 {
+            let (_pid, fx) = mw.execute(v, 0).expect("active");
+            drain(&mut mw, fx, &mut store);
+        }
+        assert_eq!(
+            mw.status().log_bytes,
+            store.log(LOG_NAME).expect("log").bytes(),
+            "live mirror matches the durable log"
+        );
+        drop(mw);
+        tear_last_record(&mut store);
+        let log = store.log(LOG_NAME).expect("log");
+        let torn_len = log.iter().last().expect("torn entry").1.len() as u64;
+        let durable = log.bytes();
+
+        let disk = RecoveredDisk::from_store(&store).expect("disk");
+        let (mw2, _fx) = Middleware::<Counter>::recover(ReplicaId(0), disk, config(), 1, 0);
+        assert_eq!(mw2.log.entries.last(), Some(&(None, torn_len)));
+        assert_eq!(mw2.log.bytes(), entry_sum(&mw2.log));
+        assert_eq!(mw2.status().log_bytes, durable, "torn record is counted");
     }
 
     #[test]

@@ -3,10 +3,10 @@
 
 use proptest::prelude::*;
 
-use paxos::{Batch, ProposalId, ReplicaId};
+use paxos::{Ballot, Batch, CausalTag, Decree, Msg, ProposalId, ReplicaId, Slot};
 use robuststore::Action;
-use tpcw::CustomerId;
-use treplica::{Wire, WireError, MAX_BATCH_ITEMS};
+use tpcw::{CartId, CartLine, CustomerId, ItemId, NewCustomer, Payment};
+use treplica::{MwMsg, Wire, WireError, MAX_BATCH_ITEMS};
 
 fn pid(node: u32, seq: u64) -> ProposalId {
     ProposalId {
@@ -64,6 +64,80 @@ fn single_item_batch_round_trips() {
     let batch = Batch::single(pid(3, 7), action(7));
     let decoded = Batch::<Action>::from_bytes(&batch.to_bytes()).expect("decodes");
     assert_eq!(decoded, batch);
+}
+
+#[test]
+fn accepted_batch_wire_bytes_match_its_encoding() {
+    let actions = vec![
+        Action::DoCart {
+            cart: None,
+            add: Some((ItemId(5), 2)),
+            updates: vec![
+                CartLine {
+                    item: ItemId(1),
+                    qty: 0,
+                },
+                CartLine {
+                    item: ItemId(2),
+                    qty: 3,
+                },
+            ],
+            default_item: ItemId(9),
+            now: 123,
+        },
+        Action::RegisterCustomer {
+            reg: NewCustomer {
+                fname: "Ann".into(),
+                lname: "Bee".into(),
+                phone: "5551234".into(),
+                email: "ann@bee.example".into(),
+                birthdate: 4000,
+                data: "data".into(),
+                discount_bp: 300,
+                now: 777,
+            },
+        },
+        action(12),
+        Action::BuyConfirm {
+            cart: CartId(1),
+            customer: CustomerId(2),
+            payment: Payment {
+                cc_type: "VISA".into(),
+                cc_num: "4111111111111111".into(),
+                cc_name: "Ann Bee".into(),
+                cc_expiry: 15000,
+                auth_id: "AUTH0001".into(),
+                country: 3,
+            },
+            ship_type: 4,
+            now: 99,
+        },
+        Action::AdminUpdate {
+            item: ItemId(6),
+            cost_cents: 1299,
+            image: "img/6.gif".into(),
+            thumbnail: "thumb/6.gif".into(),
+        },
+    ];
+    let batch = Batch::new(
+        actions
+            .into_iter()
+            .enumerate()
+            .map(|(i, a)| (pid(2, i as u64), a))
+            .collect(),
+    );
+    let msg = Msg::Accepted {
+        ballot: Ballot::fast(3, ReplicaId(0)),
+        slot: Slot(41),
+        decree: Decree::Value(pid(2, 99), batch),
+    };
+    let tag = CausalTag::for_msg(ReplicaId(2), 7, &msg);
+    let encoded = (tag.to_bytes().len() + msg.to_bytes().len()) as u64;
+    let mw = MwMsg::Paxos { epoch: 0, tag, msg };
+    // Frame: link/transport headers (46), the MwMsg tag byte and the
+    // 8-byte epoch around the causal tag and the consensus message.
+    assert_eq!(mw.wire_bytes(), 46 + 1 + 8 + encoded);
+    assert_eq!(mw.wire_bytes(), 473, "network byte count of this message");
 }
 
 fn arb_batch() -> impl Strategy<Value = Batch<Action>> {

@@ -233,6 +233,8 @@ fn checkpoints_are_written_and_log_truncated() {
     assert!(store.get(treplica::META_KEY).is_some());
     let log = store.log(treplica::LOG_NAME).unwrap();
     assert!(log.first_index() > 0, "log must have been truncated");
+    // The mirror's running total is exactly the retained durable log.
+    assert_eq!(status.log_bytes, log.bytes());
 }
 
 #[test]

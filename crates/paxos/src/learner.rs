@@ -8,6 +8,7 @@
 //! re-proposals and proposer retries stay exactly-once.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound::{Excluded, Unbounded};
 
 use crate::types::{Ballot, Decree, ProposalId, Quorums, Reconfig, ReplicaId, Slot};
 
@@ -263,13 +264,17 @@ impl<V: Clone + Eq> Learner<V> {
     /// never be filled by ongoing traffic — it must be learned), or
     /// votes have been sitting above an undelivered hole for longer
     /// than `timeout_us`.
+    ///
+    /// Runs on every tick, so both checks start at the watermark instead
+    /// of walking the delivered history retained below it.
     pub fn gapped(&self, now: u64, timeout_us: u64) -> bool {
-        if self.decided.keys().any(|s| *s > self.next_deliver) {
+        let above = (Excluded(self.next_deliver), Unbounded);
+        if self.decided.range(above).next().is_some() {
             return true;
         }
-        self.votes.iter().any(|(s, sv)| {
-            *s > self.next_deliver && now.saturating_sub(sv.first_vote_at) >= timeout_us
-        })
+        self.votes
+            .range(above)
+            .any(|(_, sv)| now.saturating_sub(sv.first_vote_at) >= timeout_us)
     }
 
     /// The votes recorded for `slot` at `ballot` (coordinator recovery
@@ -565,5 +570,165 @@ mod tests {
             "pre-checkpoint slots count as decided"
         );
         assert_eq!(l.next_deliver(), Slot(10));
+    }
+
+    /// The pre-range predicate: scans every retained decided slot and
+    /// every vote from the bottom. Kept as the reference the bounded
+    /// version must agree with.
+    fn gapped_full_scan<V>(l: &Learner<V>, now: u64, timeout_us: u64) -> bool {
+        if l.decided.keys().any(|s| *s > l.next_deliver) {
+            return true;
+        }
+        l.votes.iter().any(|(s, sv)| {
+            *s > l.next_deliver && now.saturating_sub(sv.first_vote_at) >= timeout_us
+        })
+    }
+
+    /// Decides `slot` with a full classic quorum at time `now`.
+    fn decide(l: &mut Learner<&'static str>, slot: u64, now: u64) {
+        let b = Ballot::classic(1, ReplicaId(0));
+        let d = Decree::Value(pid(0, slot), "v");
+        for i in 0..3 {
+            l.on_accepted(ReplicaId(i), b, Slot(slot), d.clone(), now);
+        }
+    }
+
+    /// Records one acceptor's vote for `slot` — not a quorum.
+    fn vote(l: &mut Learner<&'static str>, slot: u64, now: u64) {
+        let b = Ballot::classic(1, ReplicaId(0));
+        l.on_accepted(ReplicaId(4), b, Slot(slot), Decree::Noop, now);
+    }
+
+    #[test]
+    fn delivered_history_below_watermark_is_not_a_gap() {
+        let mut l = learner();
+        for s in 0..50 {
+            decide(&mut l, s, 0);
+        }
+        assert_eq!(l.next_deliver(), Slot(50));
+        assert_eq!(l.decided_len(), 50, "delivered history is retained");
+        assert!(!l.gapped(10_000_000, 1_000));
+    }
+
+    #[test]
+    fn decided_slot_above_watermark_is_a_gap() {
+        let mut l = learner();
+        decide(&mut l, 0, 0);
+        decide(&mut l, 2, 0);
+        assert_eq!(l.next_deliver(), Slot(1));
+        assert!(l.gapped(0, 1_000), "slot 2 decided over the hole at 1");
+        decide(&mut l, 1, 0);
+        assert_eq!(l.next_deliver(), Slot(3));
+        assert!(!l.gapped(0, 1_000), "hole filled");
+    }
+
+    #[test]
+    fn only_stale_votes_above_the_watermark_are_a_gap() {
+        let mut l = learner();
+        decide(&mut l, 0, 0);
+        // Votes at the watermark are the hole itself, however old.
+        vote(&mut l, 1, 100);
+        assert!(!l.gapped(1_000_000, 1_000));
+        // Votes above it count once they outlive the timeout.
+        vote(&mut l, 2, 100);
+        assert!(!l.gapped(1_099, 1_000), "not stale yet");
+        assert!(l.gapped(1_100, 1_000), "stale votes over a hole");
+    }
+
+    #[test]
+    fn reconfig_fence_at_watermark_is_not_a_gap() {
+        let mut l = learner();
+        let rc = Reconfig {
+            epoch: 1,
+            add: vec![],
+            remove: vec![ReplicaId(4)],
+        };
+        l.on_learned(vec![
+            (Slot(0), Decree::Value(pid(0, 1), "a")),
+            (Slot(1), Decree::Reconfig(rc)),
+        ]);
+        assert_eq!(l.next_deliver(), Slot(1), "parked at the fence");
+        assert!(l.is_decided(Slot(1)));
+        assert!(
+            !l.gapped(0, 1_000),
+            "the fence itself is decided, not a hole"
+        );
+        decide(&mut l, 2, 0);
+        assert!(
+            l.gapped(0, 1_000),
+            "a decision above the fence still counts"
+        );
+    }
+
+    #[test]
+    fn truncate_and_fast_forward_reset_the_gap() {
+        let mut l = learner();
+        for s in 0..4 {
+            decide(&mut l, s, 0);
+        }
+        decide(&mut l, 6, 0);
+        vote(&mut l, 5, 0);
+        assert_eq!(l.next_deliver(), Slot(4));
+        assert!(l.gapped(0, 1_000));
+        // Truncating delivered history keeps what sits above the hole.
+        l.truncate(Slot(3));
+        assert!(l.gapped(0, 1_000));
+        assert_eq!(gapped_full_scan(&l, 0, 1_000), l.gapped(0, 1_000));
+        // A state transfer past the decided slot drops it and the votes.
+        l.fast_forward(Slot(7));
+        assert_eq!(l.next_deliver(), Slot(7));
+        assert!(!l.gapped(1_000_000, 1_000));
+        vote(&mut l, 9, 0);
+        assert!(l.gapped(1_000_000, 1_000));
+        l.truncate(Slot(10));
+        assert!(!l.gapped(1_000_000, 1_000), "truncation forgot the votes");
+        assert!(!gapped_full_scan(&l, 1_000_000, 1_000));
+    }
+
+    proptest::proptest! {
+        /// The range-bounded predicate agrees with the full scan after
+        /// every step of a random decide/vote/learn/reconfigure/truncate/
+        /// transfer sequence, for fresh and stale vote ages alike.
+        #[test]
+        fn gapped_matches_full_scan(
+            ops in proptest::collection::vec((0u8..7, 0u64..24, 0u64..4_000), 0..60),
+        ) {
+            let mut l = learner();
+            for (op, slot, now) in ops {
+                match op {
+                    0 => decide(&mut l, slot, now),
+                    1 => vote(&mut l, slot, now),
+                    2 => {
+                        l.on_learned(vec![(Slot(slot), Decree::Value(pid(1, slot), "l"))]);
+                    }
+                    3 => l.truncate(Slot(slot)),
+                    // A reconfiguration parks delivery at its fence, the
+                    // one state with a decided slot at the watermark.
+                    4 => {
+                        let rc = Reconfig {
+                            epoch: slot,
+                            add: vec![],
+                            remove: vec![],
+                        };
+                        l.on_learned(vec![(Slot(slot), Decree::Reconfig(rc))]);
+                    }
+                    5 => {
+                        if let Some((fence, _)) = l.take_reconfig() {
+                            l.ack_reconfig(fence);
+                        }
+                    }
+                    _ => {
+                        l.fast_forward(Slot(slot));
+                        l.drain();
+                    }
+                }
+                for (at, timeout) in [(now, 1_000), (now + 999, 1_000), (now + 5_000, 1_000)] {
+                    proptest::prop_assert_eq!(
+                        l.gapped(at, timeout),
+                        gapped_full_scan(&l, at, timeout)
+                    );
+                }
+            }
+        }
     }
 }
