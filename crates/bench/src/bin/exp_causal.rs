@@ -62,25 +62,7 @@ fn main() {
     let Some(path) = input else {
         usage("missing input path");
     };
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("exp_causal: cannot read {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let (runs, skipped) = match obs::jsonl::decode_runs_counting(&text) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("exp_causal: {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    if skipped > 0 {
-        con.note(format_args!(
-            "skipped {skipped} record(s) with unknown event kinds (newer trace schema?)"
-        ));
-    }
+    let runs = bench::read_trace_or_die("exp_causal", &path);
 
     let mut json = JsonReport::new("exp_causal", Mode::from_args());
     let mut csv = String::from("run,category,node,peer,count,total_us\n");

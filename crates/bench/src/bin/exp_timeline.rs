@@ -58,20 +58,7 @@ fn main() {
     let Some(path) = input else {
         usage("missing input path");
     };
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("exp_timeline: cannot read {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let runs = match obs::jsonl::decode_runs(&text) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("exp_timeline: {path}: {e}");
-            std::process::exit(1);
-        }
-    };
+    let runs = bench::read_trace_or_die("exp_timeline", &path);
 
     let mut csv = format!("{}\n", Timeline::csv_header());
     let mut jsonl = String::new();

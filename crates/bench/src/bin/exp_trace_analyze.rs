@@ -26,20 +26,7 @@ fn main() {
         eprintln!("usage: exp_trace_analyze <trace.jsonl> [--require-breakdown] [--quiet]");
         std::process::exit(2);
     };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("exp_trace_analyze: cannot read {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let runs = match obs::jsonl::decode_runs(&text) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("exp_trace_analyze: {path}: {e}");
-            std::process::exit(1);
-        }
-    };
+    let runs = bench::read_trace_or_die("exp_trace_analyze", path);
 
     let mut complete = 0usize;
     let mut incidents = 0usize;

@@ -27,8 +27,8 @@ pub use parallel::run_parallel;
 pub use render::Console;
 pub use report::{
     alert_score_from_run, availability_from_run, committed_updates, json_path_from_args,
-    monitor_fields, reconfig_availability, run_markers, timeline_from_run, trace_path_from_args,
-    JsonReport, TraceSink,
+    monitor_fields, read_trace_or_die, reconfig_availability, run_markers, timeline_from_run,
+    trace_path_from_args, JsonReport, TraceSink,
 };
 
 use cluster::{run_experiment, ExperimentConfig, RunReport, ServiceModel};

@@ -241,6 +241,27 @@ impl TraceSink {
     }
 }
 
+/// Reads and decodes the trace JSONL file at `path` for the analyzer
+/// `tool`, exiting with an error if the file cannot be read or a line
+/// is corrupt. Records of unknown event kinds (a newer trace schema)
+/// are skipped with a note.
+pub fn read_trace_or_die(tool: &str, path: &str) -> Vec<obs::jsonl::Run> {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("{tool}: cannot read {path}: {e}");
+        std::process::exit(1);
+    });
+    let (runs, skipped) = obs::jsonl::decode_runs(&text).unwrap_or_else(|e| {
+        eprintln!("{tool}: {path}: {e}");
+        std::process::exit(1);
+    });
+    if skipped > 0 {
+        Console::from_args().note(format_args!(
+            "skipped {skipped} record(s) with unknown event kinds (newer trace schema?)"
+        ));
+    }
+    runs
+}
+
 /// The run's committed-update count: the highest `applied` across the
 /// surviving replicas (all agree modulo in-flight deliveries).
 pub fn committed_updates(report: &RunReport) -> u64 {

@@ -426,7 +426,7 @@ impl AvailabilityReport {
 
 /// Derives one [`AvailabilityReport`] per crash marker in `tl`.
 pub fn availability_reports(tl: &Timeline, cfg: &TimelineConfig) -> Vec<AvailabilityReport> {
-    availability_reports_for(tl, cfg, &["crash"])
+    availability_reports_for(tl, cfg, &[TraceEvent::Crash.kind()])
 }
 
 /// Derives one [`AvailabilityReport`] per marker whose kind is in
@@ -498,7 +498,11 @@ pub fn availability_reports_for(
         // Detection: the victim's next restart marker.
         let time_to_detect = tl.markers[mi..]
             .iter()
-            .find(|m| m.kind == "restart" && m.node == marker.node && m.t_us >= marker.t_us)
+            .find(|m| {
+                m.kind == TraceEvent::Restart { incarnation: 0 }.kind()
+                    && m.node == marker.node
+                    && m.t_us >= marker.t_us
+            })
             .map(|m| m.t_us - marker.t_us);
         out.push(AvailabilityReport {
             node: marker.node,

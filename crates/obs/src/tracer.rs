@@ -174,7 +174,7 @@ impl Tracer {
     pub fn flight_jsonl(&self) -> String {
         let mut out = String::new();
         for rec in &self.flight {
-            out.push_str(&crate::jsonl::encode(rec));
+            crate::jsonl::encode_into(rec, &mut out);
             out.push('\n');
         }
         out

@@ -809,7 +809,7 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
         self.retired = !self.membership.contains(self.id);
         self.trace.push(TraceEvent::EpochChanged {
             epoch: self.membership.epoch(),
-            n: self.membership.n() as u32,
+            replicas: self.membership.n() as u32,
             slot: slot.map(|s| s.0).unwrap_or(0),
         });
     }
