@@ -137,6 +137,69 @@ fn rolling_restart_keeps_the_service_up() {
     assert!(report.awips > 50.0, "AWIPS {}", report.awips);
 }
 
+/// A node that joined through a reconfiguration is a server like any
+/// other: a later partition must cut it off from the minority, not
+/// leave it bridging the two sides.
+#[test]
+fn a_joiner_is_cut_off_from_the_minority() {
+    let mut config = quick(15);
+    config.trace = simnet::TraceConfig::on();
+    let measure = config.schedule.measure_start_us();
+    let (cut_at, heal_at) = (measure + 15_000_000, measure + 18_000_000);
+    let mut faultload = Faultload::reconfig_add(measure + 5_000_000, 1);
+    faultload.partitions =
+        Faultload::partition_flap(cut_at, 1, heal_at - cut_at, 0, vec![2]).partitions;
+    config.faultload = faultload;
+    let report = run_experiment(&config);
+
+    let joiner = report.reconfigs[0].add[0] as u32;
+    let completed = report.reconfigs[0]
+        .completed_at_us
+        .expect("the epoch switch must complete");
+    assert!(completed < cut_at, "the joiner is in before the cut");
+    // Messages sent before the cut may still land just after it.
+    let during_cut = |r: &&obs::TraceRecord| r.t_us > cut_at + 100_000 && r.t_us < heal_at;
+    let recv = |r: &obs::TraceRecord, to: u32, sender: u32| {
+        r.node == to && matches!(r.event, obs::TraceEvent::MsgRecv { from, .. } if from == sender)
+    };
+    // The minority is the initial server no other initial server hears
+    // from while the cut holds.
+    let minority = (0..joiner)
+        .find(|&m| {
+            !report
+                .trace
+                .iter()
+                .filter(during_cut)
+                .any(|r| (0..joiner).any(|to| to != m && recv(r, to, m)))
+        })
+        .expect("one server is isolated during the cut");
+    let between = |r: &&obs::TraceRecord| recv(r, joiner, minority) || recv(r, minority, joiner);
+
+    let before_cut = report
+        .trace
+        .iter()
+        .filter(|r| r.t_us > completed && r.t_us < cut_at)
+        .filter(between)
+        .count();
+    assert!(
+        before_cut > 0,
+        "joiner and node {minority} talk before the cut"
+    );
+    let leaked: Vec<_> = report
+        .trace
+        .iter()
+        .filter(during_cut)
+        .filter(between)
+        .collect();
+    assert!(
+        leaked.is_empty(),
+        "{} messages crossed the cut between joiner {joiner} and minority node {minority}, \
+         first: {:?}",
+        leaked.len(),
+        leaked.first()
+    );
+}
+
 #[test]
 fn same_seed_same_reconfig_is_bit_identical() {
     let run = || {

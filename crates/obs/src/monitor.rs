@@ -32,6 +32,7 @@
 use std::collections::VecDeque;
 
 use crate::metrics::Hist;
+use crate::TraceEvent;
 
 /// One million, the fixed-point base for rates (parts per million).
 const PPM: u64 = 1_000_000;
@@ -302,6 +303,26 @@ pub struct AlertTransition {
     /// Phase dwell time: 0 for pending, time spent pending for firing,
     /// time spent firing for resolved.
     pub elapsed_us: u64,
+}
+
+impl AlertTransition {
+    /// The trace event recording this transition.
+    pub fn trace_event(&self) -> TraceEvent {
+        let (rule, subject) = (self.rule, self.subject);
+        match self.phase {
+            AlertPhase::Pending => TraceEvent::AlertPending { rule, subject },
+            AlertPhase::Firing => TraceEvent::AlertFiring {
+                rule,
+                subject,
+                pending_us: self.elapsed_us,
+            },
+            AlertPhase::Resolved => TraceEvent::AlertResolved {
+                rule,
+                subject,
+                firing_us: self.elapsed_us,
+            },
+        }
+    }
 }
 
 /// The monitor's append-only output: every lifecycle transition, in
@@ -1024,6 +1045,27 @@ mod tests {
              {\"t\":9000000,\"rule\":\"replica_down\",\"subject\":2,\"phase\":\"resolved\",\"elapsed_us\":4000000}\n"
         );
         assert_eq!(log.firings(), 1);
+        // The same transitions as the driver traces them.
+        let traced: Vec<TraceEvent> = log
+            .entries
+            .iter()
+            .map(AlertTransition::trace_event)
+            .collect();
+        assert_eq!(
+            traced,
+            [
+                TraceEvent::AlertFiring {
+                    rule: RULE_REPLICA_DOWN,
+                    subject: 2,
+                    pending_us: 1_000_000,
+                },
+                TraceEvent::AlertResolved {
+                    rule: RULE_REPLICA_DOWN,
+                    subject: 2,
+                    firing_us: 4_000_000,
+                },
+            ]
+        );
     }
 
     #[test]

@@ -342,11 +342,6 @@ impl<V: Clone + Eq + std::fmt::Debug> Replica<V> {
         self.fd.mode(self.now)
     }
 
-    /// Whether this replica is the active coordinator.
-    pub fn is_leader(&self) -> bool {
-        self.leader.is_leading()
-    }
-
     /// Whether this replica is still re-learning the backlog after a
     /// [`Replica::recover`] (clears once a peer reports no remaining lag).
     pub fn is_recovering(&self) -> bool {
